@@ -159,7 +159,10 @@ class ParallelExecutor(QueryExecutor):
         )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, pipeline, db, limit_bytes, faults.active_specs()),
+            args=(
+                child_conn, parent_conn, pipeline, db, limit_bytes,
+                faults.active_specs(),
+            ),
             daemon=True,
         )
         proc.start()

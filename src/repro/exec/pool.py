@@ -71,7 +71,13 @@ def _shed_memory() -> None:
     gc.collect()
 
 
-def _worker_main(conn, pipeline, db, memory_limit_bytes, fault_specs) -> None:
+def _worker_main(
+    conn, parent_conn, pipeline, db, memory_limit_bytes, fault_specs
+) -> None:
+    # A forked child inherits the parent's end of its own pipe; holding it
+    # open would hide the owner's death (no EOF on ``conn``), so the worker
+    # would outlive a SIGKILLed owner.
+    parent_conn.close()
     faults.clear()
     faults.install(*fault_specs)
     if memory_limit_bytes:
@@ -165,7 +171,10 @@ class SubprocessExecutor(QueryExecutor):
         )
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, pipeline, db, limit_bytes, faults.active_specs()),
+            args=(
+                child_conn, parent_conn, pipeline, db, limit_bytes,
+                faults.active_specs(),
+            ),
             daemon=True,
         )
         proc.start()

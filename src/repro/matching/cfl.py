@@ -35,7 +35,7 @@ from __future__ import annotations
 from repro.graph.algorithms import bfs_tree, two_core
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import PreprocessingMatcher
-from repro.matching.candidates import CandidateSets, ldf_candidate_bits, select_kernel
+from repro.matching.candidates import CandidateSets, ldf_candidate_bits
 from repro.matching.ordering import path_based_order
 from repro.matching.plan import QueryPlan
 from repro.utils.timing import Deadline
@@ -134,11 +134,7 @@ class CFLMatcher(PreprocessingMatcher):
 
         # Remember the tree for the ordering phase of this same query.
         self._last_tree = (query, tree)
-        # The refinement above is int-bitmap native; the selected backend
-        # takes over at the boundary (one cheap conversion per query).
-        return CandidateSets.from_bitmaps(
-            phi, kernel=select_kernel(data), num_vertices=data.num_vertices
-        )
+        return CandidateSets.from_bitmaps(phi)
 
     @staticmethod
     def _select_root(query: Graph, seed_sizes: list[int]) -> int:

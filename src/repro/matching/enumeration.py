@@ -6,7 +6,8 @@ a matching order, it extends partial embeddings depth by depth; for the
 vcFV verification step it is invoked with ``limit=1`` so it "returns
 immediately after finding the first subgraph isomorphism" (Section III-B).
 
-Two kernels implement the same contract:
+Two kernels implement the same contract, both walking the int bitmaps of
+Φ (:mod:`repro.utils.bitset`) directly:
 
 :func:`enumerate_embeddings_iterative` (the default)
     An explicit-stack kernel over the flat arrays of a compiled order
@@ -30,8 +31,6 @@ when a :class:`~repro.matching.plan.QueryPlan` is supplied.
 
 from __future__ import annotations
 
-import os
-
 from dataclasses import dataclass, field
 
 from repro.graph.labeled_graph import Graph
@@ -39,15 +38,6 @@ from repro.matching.candidates import CandidateSets
 from repro.matching.plan import QueryPlan, compile_order
 from repro.utils.bitset import bit_list
 from repro.utils.timing import Deadline
-
-def _wordblock_enum_enabled() -> bool:
-    """Whether ``REPRO_ENUM_KERNEL=wordblock`` opts the enumeration tree
-    walk into the vectorized word-block kernel.  Off by default: the walk
-    is per-node python-driven and int bitmaps win it at every scale
-    measured, so the word-block backend is only routed here explicitly
-    (benchmarks, parity tests, experimentation)."""
-    return os.environ.get("REPRO_ENUM_KERNEL", "").strip().lower() == "wordblock"
-
 
 __all__ = [
     "EnumerationResult",
@@ -125,30 +115,6 @@ def enumerate_embeddings_iterative(
     compiled = (
         plan.compiled_order(order) if plan is not None else compile_order(query, order)
     )
-    if candidates.backend != "python":
-        if _wordblock_enum_enabled():
-            # Opt-in vectorized tree walk (same search semantics, batch
-            # leaf level; numpy import stays lazy).
-            from repro.matching.enumeration_numpy import run_wordblock_kernel
-
-            return run_wordblock_kernel(
-                query,
-                data,
-                candidates,
-                compiled,
-                result,
-                limit=limit,
-                collect=collect,
-                deadline=deadline,
-                prefix_cache=prefix_cache,
-            )
-        # Default: convert once and enumerate over int bitmaps.  The tree
-        # walk is per-node python-driven, so big-int ops (sub-µs even at
-        # 512 words) beat per-call numpy overhead at every scale measured
-        # (4-12x at 1k-32k vertices); the word-block backend earns its
-        # keep in the batch phases (seed filters, frontier intersections,
-        # leaf counting), not here.
-        candidates = candidates.to_python()
     ordv = compiled.order
     prefixes = compiled.prefix_positions
     extends = compiled.extends_previous
@@ -265,10 +231,6 @@ def enumerate_embeddings_recursive(
     re-validates the order itself.
     """
     del plan  # the reference deliberately takes the slow, obvious path
-    if candidates.backend != "python":
-        # The reference works in int bitmaps; converting up front keeps it
-        # a pure oracle for the cross-backend parity suite.
-        candidates = candidates.to_python()
     order = tuple(order)
     result = EnumerationResult()
     if not order:

@@ -24,7 +24,7 @@ from __future__ import annotations
 from repro.graph.algorithms import BFSTree, bfs_tree, two_core
 from repro.graph.labeled_graph import Graph
 from repro.matching.base import MatchOutcome, PreprocessingMatcher
-from repro.matching.candidates import CandidateSets, select_kernel
+from repro.matching.candidates import CandidateSets
 from repro.matching.cfl import _adjacent_to_some
 from repro.matching.enumeration import enumerate_embeddings
 from repro.matching.ordering import path_based_order
@@ -143,9 +143,7 @@ class TurboIsoMatcher(PreprocessingMatcher):
             for u in query.vertices():
                 union[u] |= region[u]
         self._last_exploration = (query, tree, regions)
-        return CandidateSets(
-            union, kernel=select_kernel(data), num_vertices=data.num_vertices
-        )
+        return CandidateSets(union)
 
     def matching_order(
         self,
@@ -200,11 +198,7 @@ class TurboIsoMatcher(PreprocessingMatcher):
             for region in regions:
                 if limit is not None and outcome.num_embeddings >= limit:
                     break
-                phi = CandidateSets(
-                    region,
-                    kernel=select_kernel(data),
-                    num_vertices=data.num_vertices,
-                )
+                phi = CandidateSets(region)
                 order = path_based_order(query, tree, phi, core=core)
                 remaining = (
                     None if limit is None else limit - outcome.num_embeddings

@@ -896,10 +896,14 @@ class QueryService:
         if self._draining.is_set():
             return
         self._draining.set()
-        # Refuse new connections immediately; closing the listener
-        # unblocks the accept loop.
+        # Refuse new connections immediately.  close() alone does not wake
+        # a thread blocked in accept() on Linux; shutdown() does.
         listener = self._listener
         if listener is not None:
+            try:
+                listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 listener.close()
             except OSError:

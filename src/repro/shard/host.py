@@ -14,7 +14,7 @@ mirror of the shard's database for routing, rebalancing, and summaries.
 
 Protocol (parent -> child, child -> parent)::
 
-    spawn args: (conn, index, partition db, pipeline, store dir, ...)
+    spawn args: (conn, parent end, index, partition db, pipeline, ...)
     <- ("ready", info)                 # after in-child build/WAL recovery
     -> ("query", queries, time_limit)
     <- ("ack", None)                   # the worker owns the batch now
@@ -121,6 +121,7 @@ def recover_summary(engine) -> tuple["object", str]:
 
 def _shard_worker_main(
     conn,
+    parent_conn,
     index: int,
     db: "GraphDatabase",
     pipeline: "QueryPipeline",
@@ -129,6 +130,8 @@ def _shard_worker_main(
     cache_capacity: int,
     fault_specs,
 ) -> None:
+    # Drop the inherited parent end so the owner's death reaches us as EOF.
+    parent_conn.close()
     faults.clear()
     faults.install(*fault_specs)
     from repro.core.engine import SubgraphQueryEngine
@@ -355,6 +358,7 @@ class ShardProcessHost:
             target=_shard_worker_main,
             args=(
                 child_conn,
+                parent_conn,
                 worker.index,
                 worker.db_supplier(),
                 self._pipeline_factory(),

@@ -10,6 +10,7 @@ lazy memory accounting is pinned down (zero before first use, counted in
 
 from __future__ import annotations
 
+import pickle
 import random
 
 import pytest
@@ -162,6 +163,15 @@ class TestCandidateSetsRoundTrip:
         ]
         assert from_sets.all_nonempty
         assert from_sets.memory_bytes() == from_bits.memory_bytes()
+
+    def test_candidate_sets_pickle_roundtrip(self):
+        # Candidate sets cross the worker-pool boundary pickled.
+        sets = CandidateSets([[3, 1, 2], [9], [], [0, 63, 64, 65]])
+        revived = pickle.loads(pickle.dumps(sets))
+        assert revived.sizes() == sets.sizes()
+        for u in range(len(sets)):
+            assert revived[u] == sets[u]
+            assert revived.bits(u) == sets.bits(u)
 
     def test_legacy_wrappers_match_bit_kernels(self):
         db = generate_database(

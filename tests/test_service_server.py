@@ -573,6 +573,19 @@ class TestSocketEndToEnd:
         thread.join(timeout=10.0)
         assert exit_code == [0]  # shutdown verb, not a signal
 
+    def test_shutdown_verb_returns_promptly(self, engine, tmp_path):
+        """The drain wakes the accept thread at once instead of waiting
+        out its join timeout."""
+        service = make_service(engine)
+        address = f"unix:{tmp_path / 'serve.sock'}"
+        thread, exit_code = start_serving(service, address)
+        with ServiceClient(address) as client:
+            client.shutdown()
+            start = time.monotonic()
+        thread.join(timeout=10.0)
+        assert time.monotonic() - start < 1.0
+        assert exit_code == [0]
+
     def test_burst_gets_structured_overloaded_rejections(
         self, service_db, tmp_path
     ):
